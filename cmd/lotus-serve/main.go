@@ -109,10 +109,6 @@ func main() {
 		admitWait   = flag.Duration("admit-wait", 2*time.Second, "admission control: how long a queued connection waits for a slot before busy-rejection")
 		qos         = flag.Bool("qos", false, "enable per-tenant QoS (fair scheduling + rate limits) even with no -tenant-limit entries")
 		qosLeadKB   = flag.Int("qos-lead-kb", 0, "max weighted KiB a tenant may run ahead of the slowest active tenant (0 = 1024; negative disables lead pacing)")
-		pidStride   = flag.Int("pid-stride", 0, "trace-pid stride between streaming sessions (0 = 1000); raised automatically if the worker count needs more pid space")
-		coalesceN   = flag.Int("coalesce-frames", 0, "max batch frames folded into one vectored write (0 = 8; negative = one write per frame)")
-		coalesceKB  = flag.Int("coalesce-kb", 0, "max pending KiB before a coalesced write flushes (0 = 64)")
-		coalesceWin = flag.Duration("coalesce-window", 0, "max latency a frame may wait in the coalescing buffer (0 = 1ms)")
 		logRate     = flag.Float64("log-rate", 0, "per-session server log lines per second before suppression (0 = 50; negative = unlimited)")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof on the observability sidecar")
 	)
@@ -246,10 +242,6 @@ func main() {
 		QoS:              *qos,
 		QoSLeadBytes:     int64(*qosLeadKB) << 10,
 		Tenants:          tenants,
-		TracePIDStride:   *pidStride,
-		CoalesceFrames:   *coalesceN,
-		CoalesceBytes:    *coalesceKB << 10,
-		CoalesceWindow:   *coalesceWin,
 		LogLinesPerSec:   *logRate,
 		Pprof:            *pprofOn,
 		ClusterInfo:      clusterInfo,

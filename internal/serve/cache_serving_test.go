@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"lotus/internal/faultinject"
 	"lotus/internal/pipeline"
 	"lotus/internal/testutil"
 	"lotus/internal/workloads"
@@ -236,5 +238,101 @@ func TestCachedServingTinyBudgetRecomputes(t *testing.T) {
 	// batches recomputed (misses beyond one epoch's plan).
 	if st.Misses <= int64(len(expected)) {
 		t.Fatalf("misses %d: eviction pressure should force recomputes beyond %d", st.Misses, len(expected))
+	}
+}
+
+// TestCacheFallbackRunsTraced forces the one-batch cache fallback with two
+// live sessions on one epoch. The owner claims the whole epoch and, slowed by
+// a degraded worker, fulfills it one batch per stall; the second session
+// arrives while those claims are held, so it claims nothing and asks for the
+// batches in reverse. It waits out the last batch, and with a budget of
+// about one frame every earlier batch has been evicted by then, so each one
+// is recomputed by a fallback run. Every frame must match the local ground
+// truth, and each fallback run must leave ring records under the trace id
+// epoch*planLen+GlobalID, inside its own pid window.
+func TestCacheFallbackRunsTraced(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	const epoch = 1
+	spec := workloads.ICSpec(32, 7)
+	spec.BatchSize = 8 // 4 batches
+	spec.NumWorkers = 1
+	expected := localEpochFrames(t, spec, epoch)
+	planLen := len(expected)
+	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, EmulateTime: true, Prefetch: 1,
+		BatchCacheBytes: int64(len(expected[0]) * 3 / 2),
+		Faults:          faultinject.New(faultinject.Spec{SlowWorkerID: 1, SlowWorkerStall: 300 * time.Millisecond}),
+		Logf:            t.Logf})
+	if err := srv.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	fetch := func(name string, ids []int, started chan<- struct{}) error {
+		c := NewClient(ClientConfig{Addr: srv.Addr(), Name: name})
+		defer c.Close()
+		n := 0
+		err := c.FetchShard(epoch, ids, func(b *Batch, payload []byte) {
+			if !bytes.Equal(payload, expected[b.GlobalID]) {
+				t.Errorf("%s: batch %d differs from the local run", name, b.GlobalID)
+			}
+			if n++; n == 1 && started != nil {
+				close(started)
+			}
+		})
+		if err == nil && n != len(ids) {
+			err = fmt.Errorf("%d frames, want %d", n, len(ids))
+		}
+		return err
+	}
+	started := make(chan struct{})
+	ownerErr := make(chan error, 1)
+	go func() { ownerErr <- fetch("owner", []int{0, 1, 2, 3}, started) }()
+	<-started
+	if err := fetch("late", []int{3, 2, 1, 0}, nil); err != nil {
+		t.Fatalf("late session: %v", err)
+	}
+	if err := <-ownerErr; err != nil {
+		t.Fatalf("owner session: %v", err)
+	}
+
+	st, _ := srv.CacheStats()
+	fallbacks := int(st.Misses) - planLen // the owner's claims are the first planLen misses
+	if fallbacks < 1 {
+		t.Fatalf("cache stats %+v: no fallback ran", st)
+	}
+	// Group pipeline records by run pid window.
+	windows := map[int]map[int]bool{} // window -> trace batch ids
+	for _, rec := range srv.Ring().Snapshot() {
+		if rec.PID < pipeline.MainPID {
+			continue
+		}
+		w, off := (rec.PID-pipeline.MainPID)/srv.pidStride, (rec.PID-pipeline.MainPID)%srv.pidStride
+		if off > spec.NumWorkers {
+			t.Fatalf("record %+v: pid offset %d outside its run's window", rec, off)
+		}
+		if windows[w] == nil {
+			windows[w] = map[int]bool{}
+		}
+		windows[w][rec.BatchID] = true
+	}
+	oneBatch := 0
+	for w, ids := range windows {
+		if len(ids) == planLen {
+			continue // the owner's run
+		}
+		if len(ids) != 1 {
+			t.Fatalf("run window %d traced batch ids %v, want one batch", w, ids)
+		}
+		for id := range ids {
+			if id < epoch*planLen || id >= (epoch+1)*planLen {
+				t.Fatalf("fallback run traced batch id %d, want epoch*planLen+GlobalID in [%d,%d)",
+					id, epoch*planLen, (epoch+1)*planLen)
+			}
+		}
+		oneBatch++
+	}
+	t.Logf("%d fallback runs traced; cache stats %+v", oneBatch, st)
+	if oneBatch != fallbacks {
+		t.Fatalf("ring shows %d one-batch run windows, want one per fallback (%d)", oneBatch, fallbacks)
 	}
 }

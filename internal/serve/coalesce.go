@@ -13,9 +13,9 @@ import (
 // frameWriter batches consecutive frames of one connection into a single
 // vectored write, bounded three ways:
 //
-//   - coalesceBytes of pending payload (default 64 KiB),
-//   - coalesceFrames pending frames (default 8, the writev iovec budget),
-//   - a latency window since the first pending frame (default 1ms).
+//   - coalesceBytes (64 KiB) of pending payload,
+//   - coalesceFrames (8) pending frames, the writev iovec budget,
+//   - coalesceWindow (1ms) since the first pending frame.
 //
 // The session's write loop additionally flushes whenever the *next* frame is
 // not already available, so coalescing only ever batches frames that were
@@ -25,15 +25,7 @@ import (
 // the wire-fault seams keep their per-frame semantics.
 type frameWriter struct {
 	conn      net.Conn
-	maxBytes  int
 	maxFrames int
-	window    time.Duration
-
-	// QoS: when gate is non-nil every flush holds one write slot, charged
-	// the flushed byte total against the tenant's deficit.
-	gate   *fairGate
-	tenant string
-	weight int
 
 	// onFlush observes each vectored write (frame count) for the coalescing
 	// metrics; nil = uncounted.
@@ -47,38 +39,27 @@ type frameWriter struct {
 }
 
 const (
-	defaultCoalesceBytes  = 64 << 10
-	defaultCoalesceFrames = 8
-	defaultCoalesceWindow = time.Millisecond
+	coalesceBytes  = 64 << 10
+	coalesceFrames = 8
+	coalesceWindow = time.Millisecond
 )
 
 var frameWriterPool sync.Pool
 
-// newFrameWriter returns a pooled writer for one connection. maxFrames <= 1
+// newFrameWriter returns a pooled writer for one connection that folds up to
+// maxFrames (at most coalesceFrames) frames into one write; maxFrames 1
 // selects immediate mode (every add writes through).
-func newFrameWriter(conn net.Conn, maxBytes, maxFrames int, window time.Duration) *frameWriter {
-	if maxBytes <= 0 {
-		maxBytes = defaultCoalesceBytes
-	}
-	if maxFrames <= 0 {
-		maxFrames = defaultCoalesceFrames
-	}
-	if window <= 0 {
-		window = defaultCoalesceWindow
-	}
+func newFrameWriter(conn net.Conn, maxFrames int) *frameWriter {
 	w, _ := frameWriterPool.Get().(*frameWriter)
 	if w == nil {
-		w = &frameWriter{}
+		w = &frameWriter{
+			hdrs: make([][4]byte, coalesceFrames),
+			bufs: make(net.Buffers, 0, 2*coalesceFrames),
+			held: make([]*Frame, 0, coalesceFrames),
+		}
 	}
 	w.conn = conn
-	w.maxBytes = maxBytes
 	w.maxFrames = maxFrames
-	w.window = window
-	if cap(w.hdrs) < maxFrames {
-		w.hdrs = make([][4]byte, maxFrames)
-		w.bufs = make(net.Buffers, 0, 2*maxFrames)
-		w.held = make([]*Frame, 0, maxFrames)
-	}
 	return w
 }
 
@@ -87,7 +68,7 @@ func (w *frameWriter) pending() int { return len(w.held) }
 
 // add enqueues one frame (taking its own reference) and flushes when a bound
 // trips. The caller keeps its reference to f.
-func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
+func (w *frameWriter) add(f *Frame) error {
 	payload := f.Bytes()
 	i := len(w.held)
 	hdr := &w.hdrs[i]
@@ -98,9 +79,9 @@ func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
 	if i == 0 {
 		w.firstAdd = time.Now()
 	}
-	if len(w.held) >= w.maxFrames || w.pend >= w.maxBytes ||
-		time.Since(w.firstAdd) >= w.window {
-		return w.flush(cancel)
+	if len(w.held) >= w.maxFrames || w.pend >= coalesceBytes ||
+		time.Since(w.firstAdd) >= coalesceWindow {
+		return w.flush()
 	}
 	return nil
 }
@@ -108,22 +89,13 @@ func (w *frameWriter) add(f *Frame, cancel <-chan struct{}) error {
 // flush writes every pending frame as one vectored write. Pending frames are
 // released whether or not the write succeeds (the connection is dead on
 // error and the stream aborts).
-func (w *frameWriter) flush(cancel <-chan struct{}) error {
+func (w *frameWriter) flush() error {
 	n := len(w.held)
 	if n == 0 {
 		return nil
 	}
-	if w.gate != nil {
-		if err := w.gate.acquire(w.tenant, w.weight, int64(w.pend), cancel); err != nil {
-			w.reset()
-			return err
-		}
-	}
 	bufs := w.bufs // WriteTo consumes its receiver; w.bufs is reset below
 	_, err := bufs.WriteTo(w.conn)
-	if w.gate != nil {
-		w.gate.release()
-	}
 	if w.onFlush != nil {
 		w.onFlush(n)
 	}
@@ -149,7 +121,6 @@ func (w *frameWriter) reset() {
 func (w *frameWriter) close() {
 	w.reset()
 	w.conn = nil
-	w.gate = nil
 	w.onFlush = nil
 	frameWriterPool.Put(w)
 }

@@ -25,10 +25,9 @@ import (
 // anything.
 
 // controlPID is the trace PID actuation records are filed under; it sits
-// below every session's private pid range (session pids are
-// pipeline.MainPID + streamSeq*Config.TracePIDStride, so never below
-// pipeline.MainPID = 4000) and controller spans can never collide with
-// pipeline spans regardless of the configured stride.
+// below every run's private pid window (run pids are pipeline.MainPID plus
+// a multiple of the derived stride, so never below pipeline.MainPID = 4000)
+// and controller spans can never collide with pipeline spans.
 const controlPID = 999
 
 // tuner binds one Server to one control.Controller.
@@ -38,7 +37,7 @@ type tuner struct {
 	longWait time.Duration
 
 	// workers/prefetch mirror the controller's pipeline knobs for lock-free
-	// reads on the epoch-start path (produceClaimed).
+	// reads on the run-start path (runPlan).
 	workers  atomic.Int64
 	prefetch atomic.Int64
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,75 +172,68 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 	}
 }
 
-// TestTracePIDStrideValidation: a stride too small for the worker count is
-// raised, never trusted — the regression case for session pid ranges
-// aliasing each other (or crowding controlPID) once a pipeline uses more
-// pids than the stride.
-func TestTracePIDStrideValidation(t *testing.T) {
-	spec := loopbackSpec()
-	spec.NumWorkers = 500
-	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, TracePIDStride: 100})
-	if got, want := srv.cfg.TracePIDStride, 502; got != want {
-		t.Fatalf("stride %d, want raised to %d (workers+2)", got, want)
-	}
-	// Default is preserved when it already clears the worker span.
-	srv = New(Config{Spec: loopbackSpec(), Mode: pipeline.Simulated})
-	if srv.cfg.TracePIDStride != 1000 {
-		t.Fatalf("default stride %d, want 1000", srv.cfg.TracePIDStride)
-	}
-	// The autotuner's worker bound counts too: it can raise workers above
-	// the spec mid-epoch.
-	spec = loopbackSpec()
-	spec.NumWorkers = 2
-	srv = New(Config{Spec: spec, Mode: pipeline.Simulated, AutoTune: true, TracePIDStride: 4})
-	if srv.cfg.TracePIDStride < 18 { // controller default MaxWorkers 16 + 2
-		t.Fatalf("autotune stride %d, want >= 18", srv.cfg.TracePIDStride)
-	}
-}
-
-// TestTracePIDRangesDisjoint streams two concurrent sessions with a tight
-// (but valid) stride and asserts every pipeline trace pid stays inside its
-// session's private window: offsets within a stride never exceed the worker
-// span, so adjacent sessions cannot alias, and nothing lands on controlPID.
+// TestTracePIDRangesDisjoint streams two concurrent sessions and asserts
+// every pipeline trace pid stays inside its run's private window. New derives
+// the stride from the widest worker span a run can reach — the spec's
+// workers, or the autotuner's bound, which may grow a run mid-epoch — so
+// offsets never spill into the next run's window, and no pipeline record
+// lands on controlPID.
 func TestTracePIDRangesDisjoint(t *testing.T) {
-	spec := loopbackSpec() // 2 workers
-	const stride = 8
-	srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
-		TracePIDStride: stride})
-
-	var wg sync.WaitGroup
-	for rank := 0; rank < 2; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := NewClient(ClientConfig{Addr: srv.Addr(), Rank: rank, World: 2,
-				Name: fmt.Sprintf("pid-%d", rank)})
-			defer c.Close()
-			if _, err := c.Run(1, nil); err != nil {
-				t.Errorf("client %d: %v", rank, err)
+	for _, tc := range []struct {
+		name       string
+		autoTune   bool
+		maxWorkers int // the worker bound the stride must clear
+	}{
+		{"spec-workers", false, 2},
+		{"autotune", true, 16}, // control.Config's default MaxWorkers
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := loopbackSpec() // 2 workers
+			srv := startServer(t, Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
+				AutoTune: tc.autoTune})
+			stride := srv.pidStride
+			if stride < tc.maxWorkers+2 {
+				t.Fatalf("derived stride %d, want >= %d (worker bound + 2)", stride, tc.maxWorkers+2)
 			}
-		}(rank)
-	}
-	wg.Wait()
 
-	bases := map[int]bool{}
-	for _, rec := range srv.ring.Snapshot() {
-		if rec.PID == controlPID {
-			t.Fatalf("pipeline record landed on controlPID: %+v", rec)
-		}
-		if rec.PID < pipeline.MainPID {
-			continue
-		}
-		off := (rec.PID - pipeline.MainPID) % stride
-		// Valid offsets: main (0) plus workers (1..NumWorkers).
-		if off > spec.NumWorkers {
-			t.Fatalf("pid %d offset %d spills past the %d-worker span — aliases the next session",
-				rec.PID, off, spec.NumWorkers)
-		}
-		bases[(rec.PID-pipeline.MainPID)/stride] = true
-	}
-	if len(bases) != 2 {
-		t.Fatalf("trace shows %d session pid windows, want 2 disjoint", len(bases))
+			var wg sync.WaitGroup
+			for rank := 0; rank < 2; rank++ {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					c := NewClient(ClientConfig{Addr: srv.Addr(), Rank: rank, World: 2,
+						Name: fmt.Sprintf("pid-%d", rank)})
+					defer c.Close()
+					if _, err := c.Run(1, nil); err != nil {
+						t.Errorf("client %d: %v", rank, err)
+					}
+				}(rank)
+			}
+			wg.Wait()
+
+			bases := map[int]bool{}
+			for _, rec := range srv.ring.Snapshot() {
+				if rec.PID == controlPID {
+					if !strings.HasPrefix(rec.Op, "control:") {
+						t.Fatalf("pipeline record landed on controlPID: %+v", rec)
+					}
+					continue
+				}
+				if rec.PID < pipeline.MainPID {
+					continue
+				}
+				off := (rec.PID - pipeline.MainPID) % stride
+				// Valid offsets: main (0) plus workers (1..maxWorkers).
+				if off > tc.maxWorkers {
+					t.Fatalf("pid %d offset %d spills past the %d-worker span — aliases the next run",
+						rec.PID, off, tc.maxWorkers)
+				}
+				bases[(rec.PID-pipeline.MainPID)/stride] = true
+			}
+			if len(bases) != 2 {
+				t.Fatalf("trace shows %d run pid windows, want 2 disjoint", len(bases))
+			}
+		})
 	}
 }
 

@@ -10,26 +10,27 @@ import (
 // Per-tenant quality of service. A tenant (Hello.Tenant) is the paying
 // principal behind some set of sessions — one trainer job, one team, one
 // product — and the unit of fairness once O(1000) sessions contend for the
-// shared preprocessing tiers. Two mechanisms compose:
+// shared preprocessing tiers. Three mechanisms compose, and each carries
+// fairness in a different regime:
 //
 //   - Token buckets (TenantLimit.BytesPerSec / BatchesPerSec) cap a tenant's
 //     absolute service rate. They pace the write loop of every session the
 //     tenant owns, so the cap holds across however many connections the
 //     tenant opens.
-//   - A deficit-weighted-fair gate (fairGate) arbitrates the shared
-//     contention points — concurrent producing pipelines and in-flight batch
-//     writes — so that when demand exceeds capacity, tenants progress in
-//     proportion to their weights regardless of how many sessions each one
-//     runs. This is the tf.data-service multi-consumer model: one greedy
-//     trainer cannot starve the rest.
+//   - A deficit-weighted-fair compute gate (fairGate) bounds concurrently
+//     producing pipeline runs and grants the slots in proportion to tenant
+//     weights, however many sessions each tenant runs. It is what keeps
+//     tenants fair when batches must be computed (batch cache off or cold):
+//     without it a tenant with 3x the sessions gets ~3x the pipeline runs.
+//     This is the tf.data-service multi-consumer model: one greedy trainer
+//     cannot starve the rest.
 //   - A fair-share pacer (fairPacer) bounds relative progress on the wire:
 //     no tenant's weighted served bytes may run more than a fixed lead ahead
-//     of the slowest *active* tenant. The gates arbitrate only when their
-//     slots saturate; the pacer is what keeps tenants fair when the true
-//     bottleneck is elsewhere (CPU, the shared cache, the kernel), because a
-//     tenant that buys extra throughput with extra sessions runs straight
-//     into its lead bound and is paced until its peers catch up. Idle
-//     tenants age out of the active set, so the pacer is work conserving.
+//     of the slowest *active* tenant. It is what keeps tenants fair when
+//     batches come from the cache and no pipeline runs at all: a tenant that
+//     buys extra throughput with extra sessions runs straight into its lead
+//     bound and is paced until its peers catch up. Idle tenants age out of
+//     the active set, so the pacer is work conserving.
 //
 // QoS is pure schedule, never content: it delays or reorders work *across*
 // sessions, but within a session frames still stream in plan order and the
@@ -109,8 +110,8 @@ func (b *tokenBucket) take(n float64, now time.Time) time.Duration {
 
 // fairGate arbitrates a fixed pool of concurrency slots between tenants with
 // deficit round robin: each queued tenant accumulates quantum*weight of
-// byte-denominated credit per scheduling round and its head waiter is granted
-// a slot once the credit covers the waiter's cost. When the gate is
+// credit (in the gate's cost units) per scheduling round and its head waiter
+// is granted a slot once the credit covers the waiter's cost. When the gate is
 // uncontended (no queue), acquisition is a lock-plus-decrement fast path, so
 // the fair scheduler costs nothing until it is needed (work conserving).
 type fairGate struct {
@@ -426,28 +427,26 @@ func (t *tenantState) addBatch(bytes int) {
 	t.mu.Unlock()
 }
 
-// qosState is the server's QoS root: the tenant registry plus the two shared
-// fair gates. now and sleep are injectable for deterministic tests.
+// qosState is the server's QoS root: the tenant registry, the compute gate,
+// and the pacer. now and sleep are injectable for deterministic tests.
 type qosState struct {
 	mu      sync.Mutex
 	limits  map[string]TenantLimit
 	def     TenantLimit
 	tenants map[string]*tenantState
 
-	write   *fairGate  // in-flight batch writes, cost = frame bytes
-	compute *fairGate  // producing pipelines, cost = claimed batches
+	compute *fairGate  // producing pipeline runs, cost = claimed batches
 	pacer   *fairPacer // bounded-lead byte pacing, nil when disabled
 
 	now   func() time.Time
 	sleep func(d time.Duration, cancel <-chan struct{}) bool
 }
 
-func newQoSState(limits map[string]TenantLimit, def TenantLimit, writeSlots, computeSlots int, leadBytes int64) *qosState {
+func newQoSState(limits map[string]TenantLimit, def TenantLimit, computeSlots int, leadBytes int64) *qosState {
 	qs := &qosState{
 		limits:  limits,
 		def:     def,
 		tenants: make(map[string]*tenantState),
-		write:   newFairGate(writeSlots, 256<<10),
 		compute: newFairGate(computeSlots, 1),
 		now:     time.Now,
 		sleep:   sleepInterruptible,

@@ -167,7 +167,7 @@ func TestFairGateCancel(t *testing.T) {
 func TestThrottleDeterministic(t *testing.T) {
 	qs := newQoSState(map[string]TenantLimit{
 		"capped": {BytesPerSec: 1000, BurstBytes: 1000},
-	}, TenantLimit{}, 1, 1, 0)
+	}, TenantLimit{}, 1, 0)
 	now := time.Unix(2000, 0)
 	var slept []time.Duration
 	qs.now = func() time.Time { return now }
@@ -275,7 +275,7 @@ func TestFairPacerWeights(t *testing.T) {
 // paced tenant sleeps in steps until the laggard ages out, and a canceled
 // pace returns errQoSCanceled.
 func TestPaceCancelAndClock(t *testing.T) {
-	qs := newQoSState(nil, TenantLimit{}, 1, 1, 1000)
+	qs := newQoSState(nil, TenantLimit{}, 1, 1000)
 	now := time.Unix(5000, 0)
 	var slept time.Duration
 	qs.now = func() time.Time { return now }

@@ -60,11 +60,6 @@ type Config struct {
 	// 0 disables the cache (every session runs its own pipeline, the
 	// pre-cache behavior).
 	BatchCacheBytes int64
-	// CacheWaitTimeout bounds how long a session blocks on another session's
-	// in-flight computation of a batch before giving up and computing it
-	// locally (default 30s). The fallback keeps every session live even if
-	// the claim's owner stalls indefinitely.
-	CacheWaitTimeout time.Duration
 	// DiskCacheDir, when non-empty, enables the persistent disk tier under
 	// both memory caches: encoded batch frames and sample snapshots are
 	// spilled to a content-addressed segment store in this directory and
@@ -114,41 +109,16 @@ type Config struct {
 	Tenants       map[string]TenantLimit
 	TenantDefault TenantLimit
 	// QoS force-enables per-tenant fair scheduling even with no explicit
-	// limits configured: tenants then share the write and compute gates by
-	// deficit-weighted round robin with equal weights.
+	// limits configured: tenants then share the compute gate by
+	// deficit-weighted round robin with equal weights, and the pacer bounds
+	// each tenant's lead on the wire.
 	QoS bool
-	// QoSWriteSlots bounds concurrently in-flight batch writes across all
-	// sessions when QoS is on (default 16); the slots are granted in
-	// deficit-weighted-fair order, costed by frame bytes.
-	QoSWriteSlots int
-	// QoSComputeSlots bounds concurrently producing pipelines when QoS is on
-	// (default max(4, 2×GOMAXPROCS)), granted fairly, costed by claimed
-	// batch count.
-	QoSComputeSlots int
 	// QoSLeadBytes bounds how many weighted wire bytes any tenant may run
 	// ahead of the slowest active tenant before its writes are paced — the
-	// mechanism that keeps tenants fair when the bottleneck is CPU or cache
-	// rather than the gated slots, since extra sessions cannot buy service
-	// past the lead bound. Default 1 MiB; < 0 disables lead pacing.
+	// mechanism that keeps tenants fair when batches come from the cache,
+	// since extra sessions cannot buy service past the lead bound. Default
+	// 1 MiB; < 0 disables lead pacing.
 	QoSLeadBytes int64
-	// CoalesceBytes / CoalesceFrames / CoalesceWindow bound connection-level
-	// write coalescing: consecutive already-ready frames of one session are
-	// batched into a single vectored write up to CoalesceBytes pending
-	// payload (default 64 KiB) or CoalesceFrames frames (default 8), with
-	// CoalesceWindow (default 1ms) as the hard latency bound on a pending
-	// partial batch. CoalesceFrames < 0 disables coalescing (one vectored
-	// write per frame, the pre-coalescing behavior); the server forces that
-	// mode while a fault injector is active so wire-fault seams stay
-	// frame-granular.
-	CoalesceBytes  int
-	CoalesceFrames int
-	CoalesceWindow time.Duration
-	// TracePIDStride spaces the private trace-pid ranges of streaming
-	// sessions (default 1000). It is validated against the widest pid span a
-	// session pipeline can use — main proc plus every worker the spec or the
-	// autotuner's bound allows — and silently raised when too small, so two
-	// sessions' pipelines can never alias in the shared trace ring.
-	TracePIDStride int
 	// LogLinesPerSec rate-limits per-session log lines (handshake rejects,
 	// epoch errors, session opens) so a 1000-session churn storm cannot
 	// serialize every connection goroutine on the logger (default 50 lines/s
@@ -216,12 +186,22 @@ type Server struct {
 	slog  *logLimiter
 	plans planCache // shared epoch plans (spec-fingerprint identical by construction)
 
+	// Every pipeline run gets a private trace-pid window: run number times
+	// pidStride, which New derives from the widest worker span a run can
+	// reach.
+	pidStride int
+	runSeq    atomic.Int64
+
 	wg         sync.WaitGroup
 	mu         sync.Mutex
 	conns      map[net.Conn]struct{}
 	sessionSeq int
-	streamSeq  int // sessions that have streamed; allocates trace-pid bases lazily
 }
+
+// cacheWaitTimeout bounds how long a session blocks on another session's
+// in-flight computation of a batch before it computes the batch itself, so
+// no session's liveness depends on a stalled claim owner.
+const cacheWaitTimeout = 30 * time.Second
 
 // httpCloser is the slice of *http.Server the Server needs; an interface so
 // server.go does not import net/http (observe.go does).
@@ -243,9 +223,6 @@ func New(cfg Config) *Server {
 	if cfg.HelloTimeout <= 0 {
 		cfg.HelloTimeout = 10 * time.Second
 	}
-	if cfg.CacheWaitTimeout <= 0 {
-		cfg.CacheWaitTimeout = 30 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -254,32 +231,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.AdmitWait <= 0 {
 		cfg.AdmitWait = 2 * time.Second
-	}
-	// The trace-pid stride must clear the widest pid span one session's
-	// pipeline can occupy: MainPID..MainPID+workers, where workers may be
-	// raised to the autotuner's bound while an epoch streams. A stride that
-	// small would alias the next session's range in the shared ring, so it
-	// is raised, never trusted.
-	maxWorkers := cfg.Spec.NumWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = pipeline.DefaultAutoWorkers
-	}
-	if cfg.AutoTune {
-		tunerMax := cfg.AutoTuneControl.MaxWorkers
-		if tunerMax <= 0 {
-			tunerMax = 16 // control.Config's default bound
-		}
-		if tunerMax > maxWorkers {
-			maxWorkers = tunerMax
-		}
-	}
-	if cfg.TracePIDStride <= 0 {
-		cfg.TracePIDStride = 1000
-	}
-	if min := maxWorkers + 2; cfg.TracePIDStride < min {
-		cfg.Logf("lotus-serve: trace-pid stride %d cannot hold %d workers; raised to %d",
-			cfg.TracePIDStride, maxWorkers, min)
-		cfg.TracePIDStride = min
 	}
 	if cfg.LogLinesPerSec == 0 {
 		cfg.LogLinesPerSec = 50
@@ -295,6 +246,21 @@ func New(cfg Config) *Server {
 		conns:      make(map[net.Conn]struct{}),
 	}
 	s.ring.SetPerLogCost(cfg.Spec.PerLogCost)
+	// A run's procs take pids MainPID..MainPID+workers, and the autotuner
+	// may grow a streaming run up to its worker bound, so that bound plus
+	// headroom spaces run windows apart in the shared ring.
+	maxWorkers := cfg.Spec.NumWorkers
+	if maxWorkers <= 0 {
+		maxWorkers = pipeline.DefaultAutoWorkers
+	}
+	if cfg.AutoTune {
+		tunerMax := cfg.AutoTuneControl.MaxWorkers
+		if tunerMax <= 0 {
+			tunerMax = 16 // control.Config's default bound
+		}
+		maxWorkers = max(maxWorkers, tunerMax)
+	}
+	s.pidStride = maxWorkers + 2
 	s.planLen = len(pipeline.BuildBatchPlan(s.datasetLen, cfg.Spec.BatchSize,
 		cfg.Spec.Shuffle, false, cfg.Spec.Seed))
 	s.specFP = SpecFingerprint(cfg.Spec, cfg.Mode, cfg.MaterializeDim)
@@ -318,18 +284,8 @@ func New(cfg Config) *Server {
 		s.admitSem = make(chan struct{}, cfg.MaxSessions)
 	}
 	if cfg.QoS || len(cfg.Tenants) > 0 {
-		writeSlots := cfg.QoSWriteSlots
-		if writeSlots <= 0 {
-			writeSlots = 16
-		}
-		computeSlots := cfg.QoSComputeSlots
-		if computeSlots <= 0 {
-			computeSlots = 2 * runtime.GOMAXPROCS(0)
-			if computeSlots < 4 {
-				computeSlots = 4
-			}
-		}
-		s.qos = newQoSState(cfg.Tenants, cfg.TenantDefault, writeSlots, computeSlots, cfg.QoSLeadBytes)
+		s.qos = newQoSState(cfg.Tenants, cfg.TenantDefault,
+			max(4, 2*runtime.GOMAXPROCS(0)), cfg.QoSLeadBytes)
 	}
 	s.slog = newLogLimiter(cfg.LogLinesPerSec, cfg.Logf)
 	return s
@@ -800,12 +756,11 @@ func (s *Server) readHello(conn net.Conn) (Hello, error) {
 	return hello, nil
 }
 
-// session is one connected client's server-side state. An idle session —
-// connected, handshaken, not yet streaming — holds only this struct, its
-// connection goroutine, and a metrics row; the pipeline-facing state
-// (engine, hooks, dataset view, trace-pid range) is materialized lazily by
-// ensurePipeline on the first epoch request, which is what keeps O(1000)
-// mostly-idle sessions cheap.
+// session is one connected client's server-side state: its connection,
+// identity, tenant and metrics row. It holds no pipeline state — every batch
+// it computes comes from a run (runPlan) — so an idle session costs only
+// this struct, its connection goroutine, and a metrics row, which is what
+// keeps O(1000) mostly-idle sessions cheap.
 type session struct {
 	srv         *Server
 	id          int
@@ -813,20 +768,6 @@ type session struct {
 	rank, world int
 	tenant      *tenantState // nil when QoS is disabled
 	sm          *SessionMetrics
-	engine      *native.Engine
-	ds          pipeline.Dataset
-	hks         *pipeline.Hooks
-	pidBase     int // private trace-pid range base; 0 until first stream
-
-	// Epoch-scoped state read by the trace hooks: the current shard maps the
-	// DataLoader's positional batch ids back to epoch-global ids, preEnd
-	// remembers preprocess end times for the delay metric. Guarded by mu
-	// because real-mode workers fire hooks concurrently.
-	mu      sync.Mutex
-	epoch   int
-	planLen int
-	shard   []PlanBatch
-	preEnd  map[int]time.Time
 }
 
 func (s *Server) newSession(conn net.Conn, hello Hello) *session {
@@ -861,107 +802,11 @@ func (ss *session) close() {
 	}
 }
 
-// ensurePipeline lazily materializes the session's streaming state on the
-// first epoch request: the native engine, the trace hooks, the session's
-// dataset view, and the private trace-pid base. Idle sessions never pay for
-// any of it.
-func (ss *session) ensurePipeline() {
-	if ss.hks != nil {
-		return
-	}
-	s := ss.srv
-	s.mu.Lock()
-	s.streamSeq++
-	ss.pidBase = s.streamSeq * s.cfg.TracePIDStride
-	s.mu.Unlock()
-	if s.cfg.Mode != pipeline.RealData {
-		ss.engine = native.NewEngine(s.cfg.Spec.Arch, native.DefaultCPU())
-	}
-	ss.preEnd = make(map[int]time.Time)
-	ss.hks = ss.hooks()
-	// Each session materializes its own dataset view so its Compose chain
-	// carries the session's hooks; the synthetic records are deterministic,
-	// so every session sees identical data, and a shared PageCache (if the
-	// spec sets one) still deduplicates I/O across sessions.
-	ss.ds = s.cfg.Spec.Dataset(ss.hks)
-}
-
-// pid offsets a pipeline pid into this session's private pid range so
-// concurrent sessions stay distinguishable in the shared trace ring. Bases
-// are multiples of the validated TracePIDStride (> the pipeline's worker
-// span), assigned in streaming order, and pipeline pids start at
-// pipeline.MainPID — far above the reserved controlPID — so ranges never
-// alias each other or the controller's records.
-func (ss *session) pid(pid int) int { return pid + ss.pidBase }
-
-// traceBatchID maps a DataLoader positional batch id to a globally unique
-// trace id: epoch * planLen + the batch's epoch-global plan position.
-func (ss *session) traceBatchID(pos int) int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if pos < 0 || pos >= len(ss.shard) {
-		return pos
-	}
-	return ss.epoch*ss.planLen + ss.shard[pos].GlobalID
-}
-
-func (ss *session) setEpoch(epoch, planLen int, shard []PlanBatch) {
-	ss.mu.Lock()
-	ss.epoch = epoch
-	ss.planLen = planLen
-	ss.shard = shard
-	ss.preEnd = make(map[int]time.Time)
-	ss.mu.Unlock()
-}
-
-// hooks adapts the pipeline instrumentation into the server's ring and
-// metrics: pids and batch ids are remapped into session-unique ranges, wait
-// records feed the wait metric, and preprocess/consume pairs feed the delay
-// metric — the same wait/delay decomposition the paper's analysis uses.
-func (ss *session) hooks() *pipeline.Hooks {
-	ring := ss.srv.ring
-	return &pipeline.Hooks{
-		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
-			ring.Add(trace.Record{Kind: trace.KindOp, PID: ss.pid(pid),
-				BatchID: ss.traceBatchID(batchID), SampleIndex: sampleIndex,
-				Op: op, Start: start, Dur: dur})
-		},
-		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			gid := ss.traceBatchID(batchID)
-			ring.Add(trace.Record{Kind: trace.KindBatchPreprocessed, PID: ss.pid(pid),
-				BatchID: gid, SampleIndex: -1, Start: start, Dur: dur})
-			ss.mu.Lock()
-			ss.preEnd[gid] = start.Add(dur)
-			ss.mu.Unlock()
-		},
-		OnBatchWait: func(pid, batchID int, start time.Time, dur time.Duration) {
-			ring.Add(trace.Record{Kind: trace.KindBatchWait, PID: ss.pid(pid),
-				BatchID: ss.traceBatchID(batchID), SampleIndex: -1, Start: start, Dur: dur})
-			ss.sm.AddWait(dur)
-		},
-		OnBatchConsumed: func(pid, batchID int, start time.Time, dur time.Duration) {
-			gid := ss.traceBatchID(batchID)
-			ring.Add(trace.Record{Kind: trace.KindBatchConsumed, PID: ss.pid(pid),
-				BatchID: gid, SampleIndex: -1, Start: start, Dur: dur})
-			ss.mu.Lock()
-			end, ok := ss.preEnd[gid]
-			delete(ss.preEnd, gid)
-			ss.mu.Unlock()
-			if ok {
-				ss.sm.AddDelay(start.Sub(end))
-			}
-		},
-		// Served runs charge the same modeled per-record cost a streamed
-		// Tracer run would — the Ring/Tracer overhead parity satellite.
-		PerLogCost: ss.srv.cfg.Spec.PerLogCost,
-	}
-}
-
 // streamEpoch runs the session's rank/world shard of one epoch through a
 // DataLoader and streams the batches.
 func (ss *session) streamEpoch(epoch int) error {
 	plan := ss.srv.epochPlan(epoch)
-	return ss.streamShard(epoch, len(plan), Shard(plan, ss.rank, ss.world))
+	return ss.streamShard(epoch, Shard(plan, ss.rank, ss.world))
 }
 
 // streamShardReq validates an explicit batch-ID request against the epoch
@@ -986,7 +831,7 @@ func (ss *session) streamShardReq(req ShardReq) error {
 		seen[id] = true
 		shard[i] = plan[id]
 	}
-	return ss.streamShard(req.Epoch, len(plan), shard)
+	return ss.streamShard(req.Epoch, shard)
 }
 
 // cacheKey builds this server's cache key for one batch of one epoch.
@@ -1000,15 +845,14 @@ func (ss *session) cacheKey(epoch, globalID int) BatchKey {
 // stalls — bounded backpressure instead of unbounded buffering.
 //
 // With the batch cache enabled the session first claims, for its entire
-// shard, every batch no other session is already producing; its pipeline
-// then runs over exactly the claimed subset, and every other slot is
+// shard, every batch no other session is already producing; one run then
+// covers exactly the claimed subset, and every other slot is
 // acquired from the cache at write time (hit, or a single-flight wait on the
 // producing session). The deterministic plan makes the claimed-subset
 // pipeline byte-identical to a full-shard one — batch bytes depend only on
 // the epoch seed and the plan's indices, not on which session or worker
 // produced them — so N concurrent ranks cost one preprocessing pass, not N.
-func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
-	ss.ensurePipeline()
+func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 	cache := ss.srv.cache
 
 	sum := fnv.New64a()
@@ -1042,10 +886,6 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 			claimed = append(claimed, pb)
 		}
 	}
-	// The trace hooks map positional batch ids through the pipeline's plan,
-	// which is now the claimed subset, not the full shard.
-	ss.setEpoch(epoch, planLen, claimed)
-
 	ctx, cancelEpoch := context.WithCancel(ss.srv.ctx)
 	defer cancelEpoch()
 	unwatch := ss.watchConn(cancelEpoch)
@@ -1072,7 +912,7 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 			select {
 			case f, ok = <-frames:
 			default:
-				if werr = fw.flush(ctx.Done()); werr != nil {
+				if werr = fw.flush(); werr != nil {
 					cancelEpoch()
 					break
 				}
@@ -1085,14 +925,13 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 			pb := shard[i]
 			key := ss.cacheKey(epoch, pb.GlobalID)
 			if f = cache.TryGet(key); f == nil {
-				if werr = fw.flush(ctx.Done()); werr != nil {
+				if werr = fw.flush(); werr != nil {
 					cancelEpoch()
 					break
 				}
 				var err error
-				f, err = cache.Acquire(key, ss.id,
-					ctx.Done(), ss.srv.cfg.CacheWaitTimeout,
-					func() (*Frame, error) { return ss.computeBatchFrame(epoch, pb) })
+				f, err = cache.Acquire(key, ss.id, ctx.Done(), cacheWaitTimeout,
+					func() (*Frame, error) { return ss.computeBatch(ctx, epoch, pb) })
 				if err != nil {
 					werr = fmt.Errorf("batch %d: %w", pb.GlobalID, err)
 					cancelEpoch()
@@ -1108,7 +947,7 @@ func (ss *session) streamShard(epoch, planLen int, shard []PlanBatch) error {
 		f.Release()
 	}
 	if werr == nil {
-		if werr = fw.flush(ctx.Done()); werr != nil {
+		if werr = fw.flush(); werr != nil {
 			cancelEpoch()
 		}
 	}
@@ -1176,22 +1015,18 @@ func (ss *session) watchConn(cancel context.CancelFunc) (stop func()) {
 	}
 }
 
-// produceClaimed runs the session's pipeline over exactly the batches it
-// claimed, publishing each frame to the cache first (so cross-session
-// waiters are served at compute speed) and then to the bounded frames
-// channel (so the session's own socket still backpressures the pipeline).
-// On any exit — completion, failure, panic, abort — unfulfilled claims are
-// abandoned so waiters elsewhere wake up and recompute instead of hanging.
+// produceClaimed runs the batches the session claimed, publishing each frame
+// to the cache first (so cross-session waiters are served at compute speed)
+// and then to the bounded frames channel (so the session's own socket still
+// backpressures the pipeline). On any exit — completion, failure, panic,
+// abort — unfulfilled claims are abandoned so waiters elsewhere wake up and
+// recompute instead of hanging.
 func (ss *session) produceClaimed(ctx context.Context, epoch int, claimed []PlanBatch,
 	frames chan<- *Frame, prodErr chan<- error) {
 	cache := ss.srv.cache
-	spec := ss.srv.cfg.Spec
 	fulfilled := 0
 	var perr error
 	defer func() {
-		if r := recover(); r != nil {
-			perr = fmt.Errorf("serve: epoch producer panicked: %v", r)
-		}
 		if cache != nil {
 			for _, pb := range claimed[fulfilled:] {
 				cache.Abandon(ss.cacheKey(epoch, pb.GlobalID))
@@ -1218,54 +1053,140 @@ func (ss *session) produceClaimed(ctx context.Context, epoch int, claimed []Plan
 		defer q.compute.release()
 	}
 
-	batchPlan := make([][]int, len(claimed))
-	for i, pb := range claimed {
+	workers, _ := ss.srv.pipelineKnobs()
+	perr = ss.srv.runPlan(ctx, epoch, claimed, workers, ss.sm, func(i int, f *Frame) bool {
+		if cache != nil {
+			cache.Fulfill(ss.cacheKey(epoch, claimed[i].GlobalID), f)
+			fulfilled = i + 1
+		}
+		select {
+		case frames <- f:
+			return true
+		case <-ctx.Done():
+			// Client gone or server draining. The frame stays valid in
+			// the cache (if fulfilled); only this session's reference
+			// drops.
+			f.Release()
+			return false
+		}
+	})
+}
+
+// computeBatch materializes one batch outside the session's streaming
+// producer: the fallback when a cache claim was abandoned by a failing owner,
+// evicted before this session reached it, or held past cacheWaitTimeout.
+// Batch bytes depend only on the epoch seed and the batch's indices, never on
+// which run or worker produced them, so a one-batch, one-worker run yields
+// the frame the original owner would have cached — and, being a run, it is
+// traced like any other.
+func (ss *session) computeBatch(ctx context.Context, epoch int, pb PlanBatch) (*Frame, error) {
+	var f *Frame
+	err := ss.srv.runPlan(ctx, epoch, []PlanBatch{pb}, 1, ss.sm, func(_ int, bf *Frame) bool {
+		f = bf
+		return true
+	})
+	if err == nil && f == nil {
+		err = fmt.Errorf("serve: fallback run produced no batch %d", pb.GlobalID)
+	}
+	if err != nil && f != nil {
+		f.Release()
+		f = nil
+	}
+	return f, err
+}
+
+// pipelineKnobs returns the worker count and prefetch factor a starting run
+// uses: the autotuner's current targets, or the spec's.
+func (s *Server) pipelineKnobs() (workers, prefetch int) {
+	if s.tuner != nil {
+		return s.tuner.pipelineKnobs()
+	}
+	return s.cfg.Spec.NumWorkers, s.cfg.Spec.Prefetch
+}
+
+// run is one DataLoader execution over an explicit plan of one epoch: a
+// session's claimed batches, or the single batch a cache fallback
+// recomputes. Runs, not sessions, own pipeline state. Each has its own hooked
+// dataset view, engine (sim mode), private trace-pid window, and the
+// paper's LotusTrace batch mapping — positional batch id to
+// epoch*planLen+GlobalID — so every batch the server computes reaches the
+// ring under its (epoch, globalID) and one pid per DataLoader process.
+type run struct {
+	srv     *Server
+	epoch   int
+	plan    []PlanBatch
+	pidBase int
+	sm      *SessionMetrics // receives the run's wait and delay metrics
+
+	mu     sync.Mutex // real-mode workers fire hooks concurrently
+	preEnd map[int]time.Time
+}
+
+// runPlan executes plan — batches of one epoch — on a fresh DataLoader with
+// the given worker count, handing each encoded frame to emit in plan order.
+// emit returns false only once ctx is done; the run then aborts and returns
+// ctx's error. This is the one place the server builds a pipeline.Config,
+// picks its clock, creates the engine and the hooked dataset view, and
+// registers a loader with the autotuner.
+func (s *Server) runPlan(ctx context.Context, epoch int, plan []PlanBatch, workers int,
+	sm *SessionMetrics, emit func(i int, f *Frame) bool) (err error) {
+	r := &run{srv: s, epoch: epoch, plan: plan, sm: sm,
+		pidBase: int(s.runSeq.Add(1)) * s.pidStride, preEnd: make(map[int]time.Time)}
+	spec := s.cfg.Spec
+	batchPlan := make([][]int, len(plan))
+	for i, pb := range plan {
 		batchPlan[i] = pb.Indices
 	}
-	numWorkers, prefetch := spec.NumWorkers, spec.Prefetch
-	if t := ss.srv.tuner; t != nil {
-		numWorkers, prefetch = t.pipelineKnobs()
-	}
+	_, prefetch := s.pipelineKnobs()
+	hks := r.hooks()
 	cfg := pipeline.Config{
 		BatchSize:      spec.BatchSize,
-		NumWorkers:     numWorkers,
+		NumWorkers:     workers,
 		PrefetchFactor: prefetch,
 		PinMemory:      spec.PinMemory,
 		Seed:           spec.Seed,
 		Epoch:          epoch,
 		BatchPlan:      batchPlan,
-		Hooks:          ss.hks,
-		Mode:           ss.srv.cfg.Mode,
-		Engine:         ss.engine,
+		Hooks:          hks,
+		Mode:           s.cfg.Mode,
 		WorkScale:      spec.WorkScale,
-		MaterializeDim: ss.srv.cfg.MaterializeDim,
+		MaterializeDim: s.cfg.MaterializeDim,
 		Dispatch:       spec.Dispatch,
-		Faults:         ss.srv.cfg.Faults,
-		SampleCache:    ss.srv.sampleCache,
-		PrefixFP:       ss.srv.prefixFP,
+		Faults:         s.cfg.Faults,
+		SampleCache:    s.sampleCache,
+		PrefixFP:       s.prefixFP,
 	}
-	var clk clock.Clock
-	if ss.srv.cfg.Mode == pipeline.RealData || ss.srv.cfg.EmulateTime {
+	if s.cfg.Mode != pipeline.RealData {
+		cfg.Engine = native.NewEngine(spec.Arch, native.DefaultCPU())
+	}
+	var clk clock.Clock = clock.NewSim()
+	if s.cfg.Mode == pipeline.RealData || s.cfg.EmulateTime {
 		clk = clock.NewReal()
-	} else {
-		clk = clock.NewSim()
 	}
-	clk.Run("serve-producer", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(clk, ss.ds, cfg)
-		// A worker-count action taken while this epoch streams resizes the
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("serve: pipeline run panicked: %v", p)
+		}
+	}()
+	clk.Run("serve-run", func(p clock.Proc) {
+		// The run's dataset view carries its hooks through the Compose
+		// chain; the synthetic records are deterministic, so every view
+		// sees identical data, and a shared PageCache (if the spec sets
+		// one) still deduplicates I/O across runs.
+		dl := pipeline.NewDataLoader(clk, spec.Dataset(hks), cfg)
+		// A worker-count action taken while this run streams resizes the
 		// loader through the registry; the loader applies it at its next
 		// dispatch point.
-		if t := ss.srv.tuner; t != nil {
+		if t := s.tuner; t != nil {
 			t.register(dl)
 			defer t.unregister(dl)
 		}
-		// The ctx.Done branch below only runs between batches, but a
-		// worker can be mid-way through a long injected stall when the
-		// epoch is cancelled — and the main proc is then blocked in
-		// it.Next waiting on that very worker. Bridge the cancellation to
-		// the loader's stall interrupt from a plain goroutine so the
-		// sleeping worker wakes, its result lands, and the abort path
-		// gets to run.
+		// emit's abort check only runs between batches, but a worker can be
+		// mid-way through a long injected stall when ctx is cancelled — and
+		// the main proc is then blocked in it.Next waiting on that very
+		// worker. Bridge the cancellation to the loader's stall interrupt
+		// from a plain goroutine so the sleeping worker wakes, its result
+		// lands, and the abort path gets to run.
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go func() {
@@ -1276,68 +1197,104 @@ func (ss *session) produceClaimed(ctx context.Context, epoch int, claimed []Plan
 			}
 		}()
 		it := dl.Start(p)
-		// Whatever ends the epoch — completion, failure, or abort —
-		// consume every in-flight worker result so no batch is left
-		// uncredited on the data queue and the clock winds down clean.
+		// Whatever ends the run — completion, failure, or abort — consume
+		// every in-flight worker result so no batch is left uncredited on
+		// the data queue and the clock winds down clean.
 		defer it.Drain(p)
 		for i := 0; ; i++ {
 			b, ok := it.Next(p)
 			if !ok {
-				perr = it.Err()
+				err = it.Err()
 				return
 			}
-			f := encodeBatchFrame(batchToWire(epoch, claimed[i].GlobalID, b))
-			if cache != nil {
-				cache.Fulfill(ss.cacheKey(epoch, claimed[i].GlobalID), f)
-				fulfilled = i + 1
-			}
-			select {
-			case frames <- f:
-			case <-ctx.Done():
-				// Client gone or server draining: close the index
-				// queues so the workers finish what was dispatched
-				// and exit. The frame stays valid in the cache (if
-				// fulfilled); only this session's reference drops.
-				f.Release()
+			if !emit(i, encodeBatchFrame(batchToWire(epoch, plan[i].GlobalID, b))) {
+				// Close the index queues so the workers finish what was
+				// dispatched and exit.
 				it.Abort()
-				perr = ctx.Err()
+				err = ctx.Err()
 				return
 			}
 		}
 	})
+	return err
+}
+
+// traceBatchID maps a DataLoader positional batch id to its globally unique
+// trace id: epoch * planLen + the batch's epoch-global plan position.
+func (r *run) traceBatchID(pos int) int {
+	if pos < 0 || pos >= len(r.plan) {
+		return pos
+	}
+	return r.epoch*r.srv.planLen + r.plan[pos].GlobalID
+}
+
+// hooks adapts the pipeline instrumentation into the server's ring and
+// metrics: pids move into the run's private window and batch ids become
+// trace ids, wait records feed the wait metric, and preprocess/consume pairs
+// feed the delay metric — the same wait/delay decomposition the paper's
+// analysis uses.
+func (r *run) hooks() *pipeline.Hooks {
+	ring := r.srv.ring
+	return &pipeline.Hooks{
+		OnOp: func(pid, batchID, sampleIndex int, op string, start time.Time, dur time.Duration) {
+			ring.Add(trace.Record{Kind: trace.KindOp, PID: pid + r.pidBase,
+				BatchID: r.traceBatchID(batchID), SampleIndex: sampleIndex,
+				Op: op, Start: start, Dur: dur})
+		},
+		OnBatchPreprocessed: func(pid, batchID int, start time.Time, dur time.Duration) {
+			gid := r.traceBatchID(batchID)
+			ring.Add(trace.Record{Kind: trace.KindBatchPreprocessed, PID: pid + r.pidBase,
+				BatchID: gid, SampleIndex: -1, Start: start, Dur: dur})
+			r.mu.Lock()
+			r.preEnd[gid] = start.Add(dur)
+			r.mu.Unlock()
+		},
+		OnBatchWait: func(pid, batchID int, start time.Time, dur time.Duration) {
+			ring.Add(trace.Record{Kind: trace.KindBatchWait, PID: pid + r.pidBase,
+				BatchID: r.traceBatchID(batchID), SampleIndex: -1, Start: start, Dur: dur})
+			r.sm.AddWait(dur)
+		},
+		OnBatchConsumed: func(pid, batchID int, start time.Time, dur time.Duration) {
+			gid := r.traceBatchID(batchID)
+			ring.Add(trace.Record{Kind: trace.KindBatchConsumed, PID: pid + r.pidBase,
+				BatchID: gid, SampleIndex: -1, Start: start, Dur: dur})
+			r.mu.Lock()
+			end, ok := r.preEnd[gid]
+			delete(r.preEnd, gid)
+			r.mu.Unlock()
+			if ok {
+				r.sm.AddDelay(start.Sub(end))
+			}
+		},
+		// Served runs charge the same modeled per-record cost a streamed
+		// Tracer run would — the Ring/Tracer overhead parity satellite.
+		PerLogCost: r.srv.cfg.Spec.PerLogCost,
+	}
 }
 
 // newFrameWriter builds the session's pooled write coalescer, wired to the
-// tenant's fair write gate (when QoS is on) and the coalescing metrics. An
-// active fault injector forces immediate mode so the wire-fault seams keep
-// their one-write-per-frame semantics.
+// coalescing metrics. An active fault injector forces immediate mode so the
+// wire-fault seams keep their one-write-per-frame semantics.
 func (ss *session) newFrameWriter() *frameWriter {
-	cfg := &ss.srv.cfg
-	maxFrames := cfg.CoalesceFrames
-	if cfg.Faults != nil || maxFrames < 0 {
+	maxFrames := coalesceFrames
+	if ss.srv.cfg.Faults != nil {
 		maxFrames = 1
 	}
-	fw := newFrameWriter(ss.conn, cfg.CoalesceBytes, maxFrames, cfg.CoalesceWindow)
-	if q := ss.srv.qos; q != nil && ss.tenant != nil {
-		fw.gate = q.write
-		fw.tenant = ss.tenant.name
-		fw.weight = ss.tenant.weight()
-	}
+	fw := newFrameWriter(ss.conn, maxFrames)
 	m := ss.srv.metrics
 	fw.onFlush = func(frames int) { m.AddWritev(frames) }
 	return fw
 }
 
 // writeBatchFrame pushes one encoded batch frame through the tenant rate
-// limiter, the wire-fault seam, and the coalescing writer, folding the
+// limiter and pacer, the wire-fault seam, and the coalescing writer, folding the
 // stream checksum and crediting metrics. The checksum always folds the CLEAN
 // payload — wire faults model the network mangling bytes after the server
 // produced them correctly — and the corrupt fault copies the payload before
 // flipping a bit, so a cached frame other sessions are concurrently
 // streaming is never damaged: faults land per-connection, not in shared
-// cache bytes. QoS is schedule only: throttling delays the write and the
-// fair gate orders flushes across tenants, but bytes and per-session order
-// are untouched.
+// cache bytes. QoS is schedule only: throttling and pacing delay the write,
+// but bytes and per-session order are untouched.
 func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, cancel <-chan struct{}) error {
 	payload := f.Bytes()
 	wireBytes := len(payload) + 4
@@ -1367,7 +1324,7 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, c
 			return err
 		}
 	default:
-		if err := fw.add(f, cancel); err != nil {
+		if err := fw.add(f); err != nil {
 			return err
 		}
 	}
@@ -1378,61 +1335,6 @@ func (ss *session) writeBatchFrame(fw *frameWriter, f *Frame, sum hash.Hash64, c
 		ss.tenant.addBatch(wireBytes)
 	}
 	return nil
-}
-
-// computeBatchFrame materializes one batch outside the session's streaming
-// pipeline: the fallback when a cache claim was abandoned by a failing owner
-// or a single-flight wait timed out. The epoch plan fully determines batch
-// content — bytes depend only on the epoch seed and the batch's indices,
-// never on which pipeline or worker produced them — so a one-batch plan
-// yields a frame byte-identical to the one the original owner would have
-// cached. It runs untraced (nil hooks, fresh dataset view) so the session's
-// positional trace-id mapping is undisturbed.
-func (ss *session) computeBatchFrame(epoch int, pb PlanBatch) (f *Frame, err error) {
-	spec := ss.srv.cfg.Spec
-	cfg := pipeline.Config{
-		BatchSize:      spec.BatchSize,
-		NumWorkers:     1,
-		PinMemory:      spec.PinMemory,
-		Seed:           spec.Seed,
-		Epoch:          epoch,
-		BatchPlan:      [][]int{pb.Indices},
-		Mode:           ss.srv.cfg.Mode,
-		WorkScale:      spec.WorkScale,
-		MaterializeDim: ss.srv.cfg.MaterializeDim,
-		Dispatch:       spec.Dispatch,
-		Faults:         ss.srv.cfg.Faults,
-		SampleCache:    ss.srv.sampleCache,
-		PrefixFP:       ss.srv.prefixFP,
-	}
-	if ss.srv.cfg.Mode != pipeline.RealData {
-		cfg.Engine = native.NewEngine(spec.Arch, native.DefaultCPU())
-	}
-	var clk clock.Clock
-	if ss.srv.cfg.Mode == pipeline.RealData || ss.srv.cfg.EmulateTime {
-		clk = clock.NewReal()
-	} else {
-		clk = clock.NewSim()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serve: fallback pipeline for batch %d panicked: %v", pb.GlobalID, r)
-		}
-	}()
-	clk.Run("serve-fallback", func(p clock.Proc) {
-		dl := pipeline.NewDataLoader(clk, spec.Dataset(nil), cfg)
-		it := dl.Start(p)
-		defer it.Drain(p)
-		b, ok := it.Next(p)
-		if !ok {
-			if err = it.Err(); err == nil {
-				err = fmt.Errorf("serve: fallback pipeline produced no batch %d", pb.GlobalID)
-			}
-			return
-		}
-		f = encodeBatchFrame(batchToWire(epoch, pb.GlobalID, b))
-	})
-	return f, err
 }
 
 // batchToWire converts a pipeline batch to its wire form.
