@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lotus/internal/control"
 	"lotus/internal/pipeline"
 	"lotus/internal/testutil"
 	"lotus/internal/workloads"
@@ -169,6 +170,39 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 	if snap := srv.Snapshot(time.Now()); snap.AdmitQueued != 1 || snap.BusyRejections != 0 {
 		t.Fatalf("admit_queued=%d busy=%d, want 1 queued and 0 rejected",
 			snap.AdmitQueued, snap.BusyRejections)
+	}
+}
+
+// TestTracePIDStrideValidation: the trace-pid stride New derives always
+// clears the widest worker span a run can reach — the regression case for
+// run pid windows aliasing each other (or crowding controlPID) once a
+// pipeline uses more pids than the stride.
+func TestTracePIDStrideValidation(t *testing.T) {
+	spec := loopbackSpec()
+	spec.NumWorkers = 500
+	srv := New(Config{Spec: spec, Mode: pipeline.Simulated})
+	if got, want := srv.pidStride, 502; got != want {
+		t.Fatalf("stride %d, want %d (workers+2)", got, want)
+	}
+	// Unset workers fall back to the pipeline's automatic worker count.
+	spec = loopbackSpec()
+	spec.NumWorkers = 0
+	srv = New(Config{Spec: spec, Mode: pipeline.Simulated})
+	if got, want := srv.pidStride, pipeline.DefaultAutoWorkers+2; got != want {
+		t.Fatalf("auto-worker stride %d, want %d", got, want)
+	}
+	// The autotuner's worker bound counts too: it can raise workers above
+	// the spec mid-epoch.
+	spec = loopbackSpec()
+	spec.NumWorkers = 2
+	srv = New(Config{Spec: spec, Mode: pipeline.Simulated, AutoTune: true})
+	if srv.pidStride < 18 { // controller default MaxWorkers 16 + 2
+		t.Fatalf("autotune stride %d, want >= 18", srv.pidStride)
+	}
+	srv = New(Config{Spec: spec, Mode: pipeline.Simulated, AutoTune: true,
+		AutoTuneControl: control.Config{MaxWorkers: 40}})
+	if got, want := srv.pidStride, 42; got != want {
+		t.Fatalf("autotune stride %d with MaxWorkers 40, want %d", got, want)
 	}
 }
 
