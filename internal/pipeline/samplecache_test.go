@@ -236,8 +236,8 @@ func TestCachedSampleRefcountSurvivesEviction(t *testing.T) {
 	cs := snapshotSample(s)
 	im.Release()
 
-	cs.retain()  // a reader mid-copy
-	cs.release() // the cache evicts the entry
+	cs.Retain()  // a reader mid-copy
+	cs.Release() // the cache evicts the entry
 
 	// Churn the pool: if the eviction freed the buffer early, one of these
 	// gets handed the reader's pixels.
@@ -253,7 +253,7 @@ func TestCachedSampleRefcountSurvivesEviction(t *testing.T) {
 			t.Fatalf("retained snapshot mutated at %d: eviction released pixels under a live reader", i)
 		}
 	}
-	cs.release() // reader done: now the buffer really retires
+	cs.Release() // reader done: now the buffer really retires
 }
 
 // TestRandomResizedCropDegenerateBufferDiscipline hammers the real-mode

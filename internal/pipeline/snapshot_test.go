@@ -39,8 +39,8 @@ func TestSnapshotRoundTripImage(t *testing.T) {
 	if got.img == nil || !bytes.Equal(got.img.Pix, s.Image.Pix) {
 		t.Fatal("image pixels did not survive the round trip")
 	}
-	got.release()
-	cs.release()
+	got.Release()
+	cs.Release()
 }
 
 func TestSnapshotRoundTripVolume(t *testing.T) {
@@ -61,8 +61,8 @@ func TestSnapshotRoundTripVolume(t *testing.T) {
 			t.Fatalf("vox %d: %v != %v", i, v, s.Volume.Vox[i])
 		}
 	}
-	got.release()
-	cs.release()
+	got.Release()
+	cs.Release()
 }
 
 func TestSnapshotRoundTripTensor(t *testing.T) {
@@ -93,8 +93,8 @@ func TestSnapshotRoundTripTensor(t *testing.T) {
 				}
 			}
 		}
-		got.release()
-		cs.release()
+		got.Release()
+		cs.Release()
 	}
 }
 
@@ -109,15 +109,15 @@ func TestSnapshotRoundTripSimulatedMeta(t *testing.T) {
 	if got.size != int64(s.RawBytes()) {
 		t.Fatalf("modeled size lost: %d != %d", got.size, s.RawBytes())
 	}
-	got.release()
-	cs.release()
+	got.Release()
+	cs.Release()
 }
 
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	s := snapMeta(7)
 	s.Image = imaging.NewImage(8, 6)
 	cs := snapshotSample(s)
-	defer cs.release()
+	defer cs.Release()
 	enc := encodeSnapshot(cs)
 	cases := map[string][]byte{
 		"empty":      {},

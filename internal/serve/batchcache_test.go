@@ -24,8 +24,8 @@ func cacheFrame(n int, fill byte) *Frame {
 
 func TestFrameRefcountLifecycle(t *testing.T) {
 	f := cacheFrame(32, 0xab)
-	if f.Len() != 32 {
-		t.Fatalf("len %d, want 32", f.Len())
+	if f.Size() != 32 {
+		t.Fatalf("size %d, want 32", f.Size())
 	}
 	f.Retain() // 2 refs
 	f.Release()
@@ -54,8 +54,8 @@ func TestEncodeBatchFrameByteIdentity(t *testing.T) {
 		if !bytes.Equal(f.Bytes(), want) {
 			t.Fatalf("pooled encode differs from EncodeBatch on round %d", i)
 		}
-		if f.Len() != len(want) {
-			t.Fatalf("pooled frame len %d, want %d", f.Len(), len(want))
+		if f.Size() != int64(len(want)) {
+			t.Fatalf("pooled frame size %d, want %d", f.Size(), len(want))
 		}
 		f.Release()
 	}
@@ -81,44 +81,52 @@ func TestEncodeBatchFramePooledAllocs(t *testing.T) {
 	}
 }
 
+// The single-flight state machine, LRU order, abandon and timeout paths are
+// tested once, over both waiting modes, in internal/flight. The tests below
+// pin what the batch tier adds: pooled, refcounted Frames as the values.
+
+// waitBatchWaiters spins until the cache counts n single-flight waits.
+func waitBatchWaiters(t *testing.T, c *BatchCache, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().SingleflightWait < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked, want %d", c.Stats().SingleflightWait, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestBatchCacheSingleFlight: one claimer, K waiters on the same key. All
-// waiters must block until Fulfill and then observe the same bytes; the
-// counters must show exactly one miss (one pipeline execution) and K waits.
+// waiters block until Fulfill and then observe the same frame; the counters
+// show exactly one miss (one pipeline execution) and K waits, and once every
+// waiter released its pre-paid reference only the cache's own remains.
 func TestBatchCacheSingleFlight(t *testing.T) {
 	const K = 8
 	c := NewBatchCache(1 << 20)
 	key := cacheKeyN(0)
-
-	hit, wait, claimed := c.GetOrClaim(key, 1)
-	if hit != nil || wait != nil || !claimed {
-		t.Fatal("first GetOrClaim did not claim")
+	if !c.Claim(key) {
+		t.Fatal("first Claim did not claim")
 	}
-
 	got := make([][]byte, K)
 	var wg sync.WaitGroup
-	started := make(chan struct{}, K)
 	for i := 0; i < K; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, w, cl := c.GetOrClaim(key, 100+i)
-			if cl || h != nil {
-				t.Errorf("waiter %d: expected in-flight entry, got claim=%v hit=%v", i, cl, h != nil)
-				return
-			}
-			started <- struct{}{}
-			f, ok, err := c.Wait(w, nil, 30*time.Second)
-			if err != nil || !ok {
-				t.Errorf("waiter %d: Wait ok=%v err=%v", i, ok, err)
+			f, err := c.Acquire(key, nil, func() (*Frame, error) {
+				t.Errorf("waiter %d computed a claimed batch", i)
+				return cacheFrame(64, 0), nil
+			})
+			if err != nil {
+				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
 			got[i] = append([]byte(nil), f.Bytes()...)
 			f.Release()
 		}(i)
 	}
-	for i := 0; i < K; i++ {
-		<-started
-	}
+	waitBatchWaiters(t, c, K)
 
 	f := cacheFrame(64, 0x42)
 	c.Fulfill(key, f)
@@ -134,160 +142,24 @@ func TestBatchCacheSingleFlight(t *testing.T) {
 	if st.Misses != 1 || st.SingleflightWait != K || st.Hits != 0 {
 		t.Fatalf("stats %+v, want misses=1 waits=%d", st, K)
 	}
-
-	// A late requester is a plain hit on the ready entry.
-	h, _, _ := c.GetOrClaim(key, 999)
-	if h == nil {
+	if n := f.refs.Load(); n != 1 {
+		t.Fatalf("cached frame holds %d references at rest, want the cache's 1", n)
+	}
+	h, ok := c.TryGet(key)
+	if !ok || h != f {
 		t.Fatal("ready entry did not hit")
 	}
 	h.Release()
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("hits %d after ready lookup, want 1", st.Hits)
-	}
 }
 
-// TestBatchCacheAbandonWakesWaiters: an owner that fails must not strand its
-// waiters — they wake, retry, and one of them claims and computes.
-func TestBatchCacheAbandonWakesWaiters(t *testing.T) {
-	c := NewBatchCache(1 << 20)
-	key := cacheKeyN(1)
-	if _, _, claimed := c.GetOrClaim(key, 1); !claimed {
-		t.Fatal("setup claim failed")
-	}
-
-	computes := 0
-	done := make(chan []byte, 1)
-	go func() {
-		f, err := c.Acquire(key, 2, nil, 30*time.Second, func() (*Frame, error) {
-			computes++
-			return cacheFrame(16, 0x7), nil
-		})
-		if err != nil {
-			t.Errorf("Acquire after abandon: %v", err)
-			done <- nil
-			return
-		}
-		b := append([]byte(nil), f.Bytes()...)
-		f.Release()
-		done <- b
-	}()
-
-	time.Sleep(10 * time.Millisecond) // let the waiter park
-	c.Abandon(key)
-
-	select {
-	case b := <-done:
-		if len(b) != 16 || b[0] != 0x7 {
-			t.Fatal("fallback compute produced wrong bytes")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter stranded after Abandon")
-	}
-	if computes != 1 {
-		t.Fatalf("computes %d, want 1", computes)
-	}
-	st := c.Stats()
-	if st.Abandoned != 1 {
-		t.Fatalf("abandoned %d, want 1", st.Abandoned)
-	}
-}
-
-// TestBatchCacheWaitTimeout: a stuck owner must not wedge a waiter; the wait
-// times out and Acquire computes locally without touching the stuck claim.
-func TestBatchCacheWaitTimeout(t *testing.T) {
-	c := NewBatchCache(1 << 20)
-	key := cacheKeyN(2)
-	if _, _, claimed := c.GetOrClaim(key, 1); !claimed {
-		t.Fatal("setup claim failed")
-	}
-
-	f, err := c.Acquire(key, 2, nil, 20*time.Millisecond, func() (*Frame, error) {
-		return cacheFrame(8, 0x9), nil
-	})
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	if f.Len() != 8 || f.Bytes()[0] != 0x9 {
-		t.Fatal("timed-out Acquire returned wrong bytes")
-	}
-	f.Release()
-
-	// The stuck claim is untouched: fulfilling it later still works and
-	// serves subsequent lookups.
-	owner := cacheFrame(8, 0xa)
-	c.Fulfill(key, owner)
-	owner.Release()
-	h, _, _ := c.GetOrClaim(key, 3)
-	if h == nil || h.Bytes()[0] != 0xa {
-		t.Fatal("original claim unusable after a waiter timed out")
-	}
-	h.Release()
-}
-
-// TestBatchCacheEvictionOrder pins the LRU discipline (PageCache's): the
-// least recently used ready entry leaves first, and a hit protects an entry
-// by moving it to the MRU end.
-func TestBatchCacheEvictionOrder(t *testing.T) {
-	const frameSize = 100
-	c := NewBatchCache(3 * frameSize)
-	put := func(gid int) {
-		if !c.Claim(cacheKeyN(gid), 1) {
-			t.Fatalf("claim %d failed", gid)
-		}
-		f := cacheFrame(frameSize, byte(gid))
-		c.Fulfill(cacheKeyN(gid), f)
-		f.Release()
-	}
-	lookup := func(gid int) bool {
-		h, _, claimed := c.GetOrClaim(cacheKeyN(gid), 2)
-		if h != nil {
-			h.Release()
-			return true
-		}
-		if claimed {
-			c.Abandon(cacheKeyN(gid)) // undo the probe's claim
-		}
-		return false
-	}
-
-	put(0)
-	put(1)
-	put(2)
-	put(3) // budget 3: evicts 0, the LRU
-	if lookup(0) {
-		t.Fatal("entry 0 survived over-budget insert")
-	}
-	if !lookup(1) || !lookup(2) || !lookup(3) {
-		t.Fatal("younger entries evicted out of order")
-	}
-
-	// lookup(1..3) made 1 the LRU again in order 1,2,3; touch 1 to protect it.
-	if !lookup(1) {
-		t.Fatal("entry 1 missing before protection check")
-	}
-	put(4) // evicts 2: the oldest untouched entry
-	if lookup(2) {
-		t.Fatal("LRU order violated: 2 should have been evicted")
-	}
-	if !lookup(1) || !lookup(3) || !lookup(4) {
-		t.Fatal("protected or fresh entries evicted")
-	}
-	st := c.Stats()
-	if st.Evicted != 2 {
-		t.Fatalf("evicted %d, want 2", st.Evicted)
-	}
-	if st.BytesUsed != 3*frameSize || st.Entries != 3 {
-		t.Fatalf("used=%d entries=%d, want %d/3", st.BytesUsed, st.Entries, 3*frameSize)
-	}
-}
-
-// TestBatchCacheByteBudget: the budget bounds resident bytes; an entry larger
-// than the whole budget still serves its waiters (publish first, evict
+// TestBatchCacheByteBudget: the budget bounds resident frame bytes, an
+// evicted frame stays valid for the fulfiller still holding it, and a frame
+// larger than the whole budget still serves its waiter (publish first, evict
 // second) but does not stay resident.
 func TestBatchCacheByteBudget(t *testing.T) {
 	c := NewBatchCache(250)
 	for gid := 0; gid < 10; gid++ {
-		if !c.Claim(cacheKeyN(gid), 1) {
+		if !c.Claim(cacheKeyN(gid)) {
 			t.Fatalf("claim %d failed", gid)
 		}
 		f := cacheFrame(100, byte(gid))
@@ -302,44 +174,39 @@ func TestBatchCacheByteBudget(t *testing.T) {
 		}
 	}
 
-	// Oversize frame: published (waiter served), then immediately evicted.
 	key := cacheKeyN(99)
-	if !c.Claim(key, 1) {
+	if !c.Claim(key) {
 		t.Fatal("oversize claim failed")
 	}
-	waiterGot := make(chan int, 1)
-	_, w, _ := c.GetOrClaim(key, 2)
+	waiterGot := make(chan int64, 1)
 	go func() {
-		f, ok, err := c.Wait(w, nil, 10*time.Second)
-		if !ok || err != nil {
+		f, err := c.Acquire(key, nil, func() (*Frame, error) { return cacheFrame(1, 0), nil })
+		if err != nil {
 			waiterGot <- -1
 			return
 		}
-		n := f.Len()
+		waiterGot <- f.Size()
 		f.Release()
-		waiterGot <- n
 	}()
+	waitBatchWaiters(t, c, 1)
 	big := cacheFrame(1000, 0xee)
 	c.Fulfill(key, big)
 	big.Release()
 	if n := <-waiterGot; n != 1000 {
 		t.Fatalf("waiter on oversize frame got %d bytes, want 1000", n)
 	}
-	st := c.Stats()
-	if st.BytesUsed > 250 {
+	if st := c.Stats(); st.BytesUsed > 250 {
 		t.Fatalf("oversize frame stayed resident: %d bytes", st.BytesUsed)
 	}
-	if h, _, _ := c.GetOrClaim(key, 3); h != nil {
+	if h, ok := c.TryGet(key); ok {
 		h.Release()
 		t.Fatal("oversize entry still cached")
-	} else {
-		c.Abandon(key) // undo the probe's claim
 	}
 }
 
 // TestBatchCacheConcurrentChurn hammers one small cache from many goroutines
-// mixing claims, fulfills, hits, waits, and evictions — the -race workout for
-// the single-flight state machine.
+// mixing claims, fulfills, hits, waits and evictions over pooled frames: the
+// -race workout for frame recycling under the single-flight state machine.
 func TestBatchCacheConcurrentChurn(t *testing.T) {
 	c := NewBatchCache(400) // 4 frames of 100: constant eviction pressure
 	const (
@@ -354,14 +221,14 @@ func TestBatchCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				gid := (w + r) % keys
-				f, err := c.Acquire(cacheKeyN(gid), w, nil, 10*time.Second, func() (*Frame, error) {
+				f, err := c.Acquire(cacheKeyN(gid), nil, func() (*Frame, error) {
 					return cacheFrame(100, byte(gid)), nil
 				})
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", w, r, err)
 					return
 				}
-				if f.Len() != 100 || f.Bytes()[0] != byte(gid) {
+				if f.Size() != 100 || f.Bytes()[0] != byte(gid) {
 					t.Errorf("worker %d round %d: wrong bytes for gid %d", w, r, gid)
 				}
 				f.Release()
@@ -373,7 +240,7 @@ func TestBatchCacheConcurrentChurn(t *testing.T) {
 	if st.BytesUsed > 400 {
 		t.Fatalf("budget exceeded at rest: %d", st.BytesUsed)
 	}
-	if total := st.Hits + st.Misses + st.SingleflightWait; total < workers*rounds {
-		t.Fatalf("counters %+v do not cover %d acquires", st, workers*rounds)
+	if total := st.Hits + st.Misses + st.SingleflightWait + st.Bypassed; total != workers*rounds {
+		t.Fatalf("counters %+v count %d lookups, want %d", st, total, workers*rounds)
 	}
 }

@@ -4,16 +4,16 @@ import (
 	"lotus/internal/store"
 )
 
-// Disk-tier glue: the persistent store sits under both memory caches.
+// Disk-tier glue: the persistent store sits under both memory caches as
+// their flight.Lower tier.
 //
-//   - Batch frames: every frame the BatchCache publishes (and every eviction
-//     victim) spills asynchronously via the SetSpill hook; a session that
-//     wins a Claim consults the disk tier before running its pipeline, so a
-//     restarted (or sibling) server serves previously produced frames
-//     byte-identical without recomputing — the tf.data-service cross-job
-//     reuse model over a Seneca-style SSD tier.
-//   - Sample snapshots: the SampleCache owns its own disk path (SetDisk);
-//     the server only threads the store through.
+//   - Batch frames: batchDisk below. Every frame the BatchCache publishes
+//     (and every eviction victim) spills asynchronously, and every claim
+//     consults the disk first, so a restarted (or sibling) server serves
+//     previously produced frames byte-identical without recomputing — the
+//     tf.data-service cross-job reuse model over a Seneca-style SSD tier.
+//   - Sample snapshots: the SampleCache's own adapter (SetDisk); the server
+//     only threads the store through.
 //
 // Both tiers share one Store (one budget, one segment sequence, one
 // manifest); the Kind byte in the key keeps the namespaces disjoint.
@@ -23,16 +23,15 @@ func diskBatchKey(k BatchKey) store.Key {
 		A: uint64(k.Epoch), B: uint64(k.GlobalID)}
 }
 
-// diskLoadBatch tries to read one encoded batch frame from the persistent
-// tier into a pooled Frame. The store verifies the record checksum; a miss
-// (or corruption, degraded to a miss) returns nil and the pooled buffer
-// goes straight back to its pool.
-func (s *Server) diskLoadBatch(key BatchKey) *Frame {
-	if s.disk == nil {
-		return nil
-	}
+// batchDisk is the BatchCache's lower tier.
+type batchDisk struct{ st *store.Store }
+
+// Load reads one encoded batch frame into a pooled Frame. The store
+// verifies the record checksum; a miss (or corruption, degraded to a miss)
+// sends the pooled buffer straight back to its pool.
+func (d batchDisk) Load(key BatchKey) (*Frame, bool) {
 	var box *[]byte
-	_, ok := s.disk.Get(diskBatchKey(key), func(n int) []byte {
+	_, ok := d.st.Get(diskBatchKey(key), func(n int) []byte {
 		box = frameBufFor(n)
 		*box = (*box)[:n]
 		return *box
@@ -42,16 +41,16 @@ func (s *Server) diskLoadBatch(key BatchKey) *Frame {
 			*box = (*box)[:0]
 			frameBufPool.Put(box)
 		}
-		return nil
+		return nil, false
 	}
-	return newFrame(box)
+	return newFrame(box), true
 }
 
-// spillBatchFrame is the BatchCache write-through hook: every published
-// frame heads for disk without blocking the serving path (the store copies
-// the bytes before PutAsync returns and dedups keys already on disk).
-func (s *Server) spillBatchFrame(key BatchKey, f *Frame) {
-	s.disk.PutAsync(diskBatchKey(key), f.Bytes())
+// Store heads a frame for disk without blocking the serving path (the
+// store copies the bytes before PutAsync returns and dedups keys already on
+// disk).
+func (d batchDisk) Store(key BatchKey, f *Frame) {
+	d.st.PutAsync(diskBatchKey(key), f.Bytes())
 }
 
 // DiskCacheStats reports the persistent tier's counters; ok is false when

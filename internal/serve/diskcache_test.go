@@ -258,7 +258,7 @@ func TestDiskCacheBudgetEviction(t *testing.T) {
 	}
 	srv := New(Config{Spec: spec, Mode: pipeline.Simulated, Prefetch: 2,
 		BatchCacheBytes: 64 << 20, DiskCacheDir: dir, DiskCacheBytes: 8 << 10,
-		DiskSegmentBytes: 4 << 10, Logf: t.Logf})
+		Logf: t.Logf})
 	if err := srv.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,12 @@ import (
 // the batch cache, and every session that hits the cache. The last Release
 // returns both the buffer and the Frame header to their sync.Pools, which is
 // the PR 1 imaging-pool discipline applied to the wire layer: explicit
-// ownership, power-of-two size classes, zero steady-state allocation.
+// ownership, buffers sized to the frame, zero steady-state allocation.
 //
 // Reference rules: every *Frame a caller receives (encodeBatchFrame, cache
-// GetOrClaim hit, cache Wait, cache Acquire) carries one reference owned by
-// that caller, released with exactly one Release. Retain adds a reference for
-// a new owner. Bytes must not be mutated or retained past the owner's
-// Release.
+// TryGet or Acquire) carries one reference owned by that caller, released
+// with exactly one Release. Retain adds a reference for a new owner. Bytes
+// must not be mutated or retained past the owner's Release.
 type Frame struct {
 	b    []byte
 	box  *[]byte // pooled backing-buffer box; recycled with the frame
@@ -26,7 +25,7 @@ type Frame struct {
 
 var (
 	framePool    sync.Pool // *Frame headers
-	frameBufPool sync.Pool // *[]byte payload buffers, pow2 capacities
+	frameBufPool sync.Pool // *[]byte payload buffers
 )
 
 // frameBufFor returns a boxed zero-length buffer with capacity >= n, reusing
@@ -39,22 +38,10 @@ func frameBufFor(n int) *[]byte {
 	}
 	// Pool miss or undersized buffer: drop the small one (re-pooling it would
 	// just hand it back on the next Get, thrashing forever once frame sizes
-	// grow) and let the pool converge on the serving spec's frame class.
-	b := make([]byte, 0, roundUpPow2(n))
+	// grow). A serving spec's frames all have one size, fixed by the batch
+	// geometry, so the pool converges on buffers of exactly that size.
+	b := make([]byte, 0, n)
 	return &b
-}
-
-// roundUpPow2 rounds n up to the next power of two so pooled buffers fall
-// into a handful of size classes instead of one class per batch geometry.
-func roundUpPow2(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // newFrame wraps an already-encoded boxed buffer in a pooled Frame with one
@@ -84,15 +71,14 @@ func encodeBatchFrame(m *Batch) *Frame {
 // reference; never mutate it.
 func (f *Frame) Bytes() []byte { return f.b }
 
-// Len reports the payload length.
-func (f *Frame) Len() int { return len(f.b) }
+// Size reports the payload length in bytes, the frame's cache footprint.
+func (f *Frame) Size() int64 { return int64(len(f.b)) }
 
-// Retain adds one reference for a new owner and returns f for chaining.
-func (f *Frame) Retain() *Frame {
+// Retain adds one reference for a new owner.
+func (f *Frame) Retain() {
 	if f.refs.Add(1) <= 1 {
 		panic("serve: Frame.Retain on a released frame")
 	}
-	return f
 }
 
 // Release drops one reference; the last one recycles the buffer and the

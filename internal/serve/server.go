@@ -74,8 +74,6 @@ type Config struct {
 	// DiskCacheBytes is the disk tier's soft byte budget (segment-granular
 	// LRU eviction); <= 0 means unlimited.
 	DiskCacheBytes int64
-	// DiskSegmentBytes overrides the store's segment roll size (tests).
-	DiskSegmentBytes int64
 	// SampleCacheBytes, when > 0, enables the server-wide split-point sample
 	// cache: each sample's deterministic prefix (storage read + decode +
 	// deterministic resize) is materialized once and shared across epochs,
@@ -197,11 +195,6 @@ type Server struct {
 	conns      map[net.Conn]struct{}
 	sessionSeq int
 }
-
-// cacheWaitTimeout bounds how long a session blocks on another session's
-// in-flight computation of a batch before it computes the batch itself, so
-// no session's liveness depends on a stalled claim owner.
-const cacheWaitTimeout = 30 * time.Second
 
 // httpCloser is the slice of *http.Server the Server needs; an interface so
 // server.go does not import net/http (observe.go does).
@@ -455,17 +448,16 @@ func (s *Server) SampleCacheStats() (pipeline.SampleCacheStats, bool) {
 func (s *Server) Start(addr, httpAddr string) error {
 	if s.cfg.DiskCacheDir != "" {
 		st, err := store.Open(s.cfg.DiskCacheDir, store.Options{
-			Budget:       s.cfg.DiskCacheBytes,
-			SegmentBytes: s.cfg.DiskSegmentBytes,
-			Faults:       s.cfg.Faults,
-			Logf:         s.cfg.Logf,
+			Budget: s.cfg.DiskCacheBytes,
+			Faults: s.cfg.Faults,
+			Logf:   s.cfg.Logf,
 		})
 		if err != nil {
 			return fmt.Errorf("serve: disk cache: %w", err)
 		}
 		s.disk = st
 		if s.cache != nil {
-			s.cache.SetSpill(s.spillBatchFrame)
+			s.cache.SetLower(batchDisk{st})
 		}
 		if s.sampleCache != nil {
 			s.sampleCache.SetDisk(st)
@@ -868,22 +860,13 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 			mine[i] = true
 		}
 	} else {
+		// A claim consults the persistent tier first: a disk hit publishes
+		// straight into the memory cache (waking any cross-session waiters)
+		// and the write loop picks it up as an ordinary cache hit below.
 		for i, pb := range shard {
-			key := ss.cacheKey(epoch, pb.GlobalID)
-			if !cache.Claim(key, ss.id) {
-				continue
+			if mine[i] = cache.Claim(ss.cacheKey(epoch, pb.GlobalID)); mine[i] {
+				claimed = append(claimed, pb)
 			}
-			// Won the claim: consult the persistent tier before paying for
-			// the pipeline. A disk hit publishes straight into the memory
-			// cache (waking any cross-session waiters) and the write loop
-			// picks it up as an ordinary cache hit below.
-			if f := ss.srv.diskLoadBatch(key); f != nil {
-				cache.Fulfill(key, f)
-				f.Release()
-				continue
-			}
-			mine[i] = true
-			claimed = append(claimed, pb)
 		}
 	}
 	ctx, cancelEpoch := context.WithCancel(ss.srv.ctx)
@@ -924,13 +907,14 @@ func (ss *session) streamShard(epoch int, shard []PlanBatch) error {
 		} else {
 			pb := shard[i]
 			key := ss.cacheKey(epoch, pb.GlobalID)
-			if f = cache.TryGet(key); f == nil {
+			var ok bool
+			if f, ok = cache.TryGet(key); !ok {
 				if werr = fw.flush(); werr != nil {
 					cancelEpoch()
 					break
 				}
 				var err error
-				f, err = cache.Acquire(key, ss.id, ctx.Done(), cacheWaitTimeout,
+				f, err = cache.Acquire(key, ctx.Done(),
 					func() (*Frame, error) { return ss.computeBatch(ctx, epoch, pb) })
 				if err != nil {
 					werr = fmt.Errorf("batch %d: %w", pb.GlobalID, err)
@@ -1074,7 +1058,7 @@ func (ss *session) produceClaimed(ctx context.Context, epoch int, claimed []Plan
 
 // computeBatch materializes one batch outside the session's streaming
 // producer: the fallback when a cache claim was abandoned by a failing owner,
-// evicted before this session reached it, or held past cacheWaitTimeout.
+// evicted before this session reached it, or held past flight.WaitTimeout.
 // Batch bytes depend only on the epoch seed and the batch's indices, never on
 // which run or worker produced them, so a one-batch, one-worker run yields
 // the frame the original owner would have cached — and, being a run, it is

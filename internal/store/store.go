@@ -54,19 +54,16 @@ type Key struct {
 	B    uint64
 }
 
-// Options configures Open. The zero value means: unlimited budget, default
-// segment size, default queue depth, no fault injection.
+// Options configures Open. The zero value means: unlimited budget, derived
+// segment size, no fault injection.
 type Options struct {
 	// Budget is the soft byte budget across all segment files; <= 0 means
 	// unlimited. Exceeding it evicts whole LRU sealed segments.
 	Budget int64
-	// SegmentBytes is the roll-over threshold for the active segment
-	// (default 4 MiB).
+	// SegmentBytes is the roll-over threshold for the active segment. When
+	// unset it is min(4 MiB, Budget/2): a budget always spans at least two
+	// segments, so eviction can free one while the other stays active.
 	SegmentBytes int64
-	// QueueDepth bounds the async spill queue (default 256); PutAsync drops
-	// (and counts) spills when the queue is full rather than blocking the
-	// serving path.
-	QueueDepth int
 	// Faults injects torn-manifest and corrupt-append failures in chaos
 	// runs. Nil injects nothing.
 	Faults *faultinject.Injector
@@ -153,7 +150,13 @@ type Store struct {
 	segsEvicted    int64
 }
 
-const defaultSegmentBytes = 4 << 20
+const (
+	maxSegmentBytes = 4 << 20
+	// queueDepth bounds the async spill queue in records; PutAsync drops
+	// (and counts) spills when it is full rather than blocking the serving
+	// path.
+	queueDepth = 256
+)
 
 // Open opens (or creates) the store at dir, recovering the index from the
 // manifest plus a scan of any bytes appended after the last manifest write.
@@ -165,15 +168,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
+		opts.SegmentBytes = maxSegmentBytes
+		if opts.Budget > 0 {
+			opts.SegmentBytes = min(maxSegmentBytes, opts.Budget/2)
+		}
 	}
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		queue: make(chan putReq, opts.QueueDepth),
+		queue: make(chan putReq, queueDepth),
 		idx:   make(map[Key]loc),
 		segs:  make(map[uint32]*segment),
 	}
